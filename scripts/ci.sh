@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 echo "== repo-specific lint =="
-# The custom AST rules (R001-R004, see docs/analysis.md) have no
+# The custom AST rules (R001-R005, see docs/analysis.md) have no
 # external dependencies and always gate.
 python -m repro lint
 
@@ -97,7 +97,7 @@ python scripts/serve_smoke.py
 echo "== backend engine smoke =="
 # The two non-BDD set backends (docs/backends.md) as first-class
 # engines: one tier-1 cell each through the full CLI path, checking
-# registration, the Kleene adapter loop, and result finalization.
+# registration, the fix-point driver, and result finalization.
 python -m repro reach s27 --engine bitset --max-seconds 120
 python -m repro reach s27 --engine zono --max-seconds 120
 

@@ -29,8 +29,15 @@ depends on; these rules can:
     ``KeyboardInterrupt`` / ``SystemExit``; a bare except swallows
     supervisor cancellation.
 
+``R005`` — **one loop owner in** ``repro/reach/`` **and**
+    ``repro/backends/``.  Only ``reach/driver.py`` may construct a
+    ``RunMonitor``, call ``monitor.restore`` or catch
+    ``ResourceLimitError`` / ``RecursionError``: a second copy of the
+    fix-point loop is where resume-path pin leaks and dropped
+    partial-progress statistics lived.
+
 Suppression: a ``# noqa: R00X`` comment on the flagged line disarms that
-rule for the line (a bare ``# noqa`` disarms all four); use it only with
+rule for the line (a bare ``# noqa`` disarms all five); use it only with
 a justification comment.
 """
 
@@ -62,6 +69,7 @@ RULES: Dict[str, str] = {
     "R002": "no nondeterminism sources in byte-identical output paths",
     "R003": "no node handles held across collect_garbage without incref/roots",
     "R004": "no bare except in repro/harness/",
+    "R005": "only reach/driver.py runs the fix-point loop in reach/, backends/",
 }
 
 #: Apply-style kernel modules covered by R001.
@@ -146,6 +154,13 @@ def _in_scope_r003(path: str) -> bool:
 
 def _in_scope_r004(path: str) -> bool:
     return "repro/harness/" in _posix(path)
+
+
+def _in_scope_r005(path: str) -> bool:
+    p = _posix(path)
+    if p.endswith("repro/reach/driver.py"):
+        return False
+    return "repro/reach/" in p or "repro/backends/" in p
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +418,46 @@ def check_bare_except(tree: ast.AST, path: str) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
+# R005 — a second fix-point loop
+# ----------------------------------------------------------------------
+
+_LOOP_ERRORS = frozenset(["ResourceLimitError", "RecursionError"])
+
+
+def check_loop_owner(tree: ast.AST, path: str) -> List[Finding]:
+    """Flag loop-owner code outside ``reach/driver.py``."""
+    findings: List[Finding] = []
+
+    def flag(node: ast.AST, what: str) -> None:
+        findings.append(
+            Finding(
+                path,
+                node.lineno,
+                "R005",
+                "%s outside reach/driver.py; plug a SetAlgebra into "
+                "drive() instead" % what,
+            )
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func) or ""
+            if name.split(".")[-1] == "RunMonitor":
+                flag(node, "RunMonitor construction")
+            elif name.endswith("monitor.restore"):
+                flag(node, "monitor.restore()")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [
+                node.type
+            ]
+            for exc in caught:
+                name = (_dotted(exc) or "").split(".")[-1]
+                if name in _LOOP_ERRORS:
+                    flag(node, "catching %s" % name)
+    return findings
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 
@@ -411,6 +466,7 @@ _SCOPED_RULES = (
     ("R002", _in_scope_r002, check_nondeterminism),
     ("R003", _in_scope_r003, check_gc_handles),
     ("R004", _in_scope_r004, check_bare_except),
+    ("R005", _in_scope_r005, check_loop_owner),
 )
 
 
@@ -531,7 +587,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro lint`` entry point."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="repo-specific static checks (R001-R004)",
+        description="repo-specific static checks (R001-R005)",
     )
     parser.add_argument(
         "paths",

@@ -1,27 +1,26 @@
 """Adapter from :class:`~repro.backends.protocol.SetBackend` to an engine.
 
 :func:`backend_engine` wraps a backend class in a function with the
-standard ``repro.reach.ENGINES`` signature, so non-BDD set
-representations inherit the whole harness for free: resource budgets
-and T.O./M.O./I.O. reporting through :class:`RunMonitor`, per-iteration
+standard ``repro.reach.ENGINES`` signature.  The backend's handles
+become a :class:`repro.reach.driver.SetAlgebra`, so non-BDD set
+representations run the same fix-point driver as the BDD engines:
+resource budgets and T.O./M.O./I.O. reporting, per-iteration
 checkpoints with kill-resume (set payloads ride the checkpoint
 container's ``meta.extra`` slot as JSON), fault-injection hooks,
 sanitizer cadence, per-iteration tracing, and the fallback ladder /
 scheduler integration that keys off ``ENGINES`` membership.
 
-The loop is the Kleene iteration ``R <- R | image(R)``, stopping when
-the union changes nothing — so ``result.iterations`` counts every pass
-including the final fix-point-confirming one, directly comparable to
-the BDD engines' counting.  Imaging the **full reached set** (not a
-frontier) is what keeps the loop sound for over-approximating
-backends: a zonotope union is an affine *hull*, so ``reached`` holds
-states no frontier ever held, and a frontier-only image would declare
-a "fix point" without ever computing their successors.  For exact
-backends the fix point lands at the same iteration as frontier-based
-BFS (``image(reached_k)`` adds a state iff some distance-``k`` state
-has a new successor), so the bitset engine's iteration count still
-equals BFS depth; the extra per-state image work is absorbed by the
-backend's successor memoization.
+The loop stops when the union changes nothing, so
+``result.iterations`` counts every pass including the final
+fix-point-confirming one, directly comparable to the BDD engines'
+counting.  Which set is imaged is the driver's exactness policy, keyed
+on :attr:`SetBackend.exact`: an over-approximating backend images the
+**full reached set** — a zonotope union is an affine *hull*, so
+``reached`` holds states no frontier ever held, and a frontier-only
+image would declare a "fix point" without ever computing their
+successors.  An exact backend images the smaller of the last image and
+the reached set; the fix point lands at the same iteration either way,
+so the bitset engine's iteration count still equals BFS depth.
 
 On completion ``result.extra`` carries:
 
@@ -44,9 +43,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Type
 
-from ..bdd import BDD
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
 from .protocol import SetBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,9 +58,75 @@ def backend_engine(backend_cls: Type[SetBackend]):
     """An ``ENGINES``-compatible engine function for ``backend_cls``."""
     # Imported here, not at module scope: ``repro.reach`` imports this
     # module to register the backend engines, so a top-level import of
-    # ``repro.reach.common`` would be circular when ``repro.backends``
-    # is imported first.
-    from ..reach.common import ReachResult, RunMonitor
+    # ``repro.reach`` would be circular when ``repro.backends`` is
+    # imported first.
+    from ..reach.driver import SetAlgebra, drive
+
+    class BackendSets(SetAlgebra):
+        """``backend_cls`` handles as the driver's set algebra."""
+
+        name = backend_cls.name
+        exact = backend_cls.exact
+        chi = True
+        peak = 0
+
+        def setup(self, initial_points) -> None:
+            self.backend = backend_cls.from_circuit(self.circuit, **self.options)
+            self.reached = self.frontier = self.backend.initial(initial_points)
+
+        def restore(self, snapshot) -> int:
+            payload = snapshot.meta["extra"]["reached"]
+            self.reached = self.frontier = self.backend.from_payload(payload)
+            return snapshot.iteration
+
+        def image(self, frontier):
+            with self.tracer.span("image"):
+                return self.backend.image(frontier)
+
+        def add(self, image):
+            backend = self.backend
+            with self.tracer.span("union"):
+                reached = backend.union(self.reached, image)
+            with self.tracer.span("fixpoint_test"):
+                fixed = backend.equal(reached, self.reached)
+            if fixed:
+                # Keep ``reached``: a final over-approximate image
+                # absorbed by the union must not taint the flag — the
+                # fix point certifies reached contains its own (true)
+                # image, so its exactness stands on its own history.
+                return False
+            self.reached = reached
+            self.peak = max(self.peak, self.size(reached) + self.size(image))
+            self.advance(image)
+            return True
+
+        def size(self, s) -> int:
+            return self.backend.size(s)
+
+        def snapshot(self):
+            return {"meta": {"reached": self.backend.to_payload(self.reached)}}
+
+        def audit_roots(self):
+            return {}
+
+        def export(self, result: ReachResult, count_states: bool) -> None:
+            if not result.completed:
+                return
+            backend, reached = self.backend, self.reached
+            # peak_live_nodes is the cross-engine "peak representation"
+            # statistic; for backends that is the largest
+            # reached+image footprint any iteration held.
+            result.peak_live_nodes = max(self.peak, backend.size(reached))
+            result.reached_size = backend.size(reached)
+            result.extra["backend"] = backend.name
+            result.extra["exact"] = bool(getattr(reached, "exact", True))
+            states = backend.count(reached)
+            if count_states:
+                result.num_states = states
+            if states <= ENUMERATION_CAP:
+                result.extra["reached_states"] = set(
+                    backend.enumerate_states(reached, ENUMERATION_CAP)
+                )
 
     def engine(
         circuit,
@@ -82,121 +144,11 @@ def backend_engine(backend_cls: Type[SetBackend]):
         # ``slots`` / ``space`` are BDD-layout concerns with no backend
         # analogue; accepted (the harness passes them) and ignored.
         del slots, space
-        tracer = ensure_tracer(tracer)
-        scratch = BDD()
-        tracer.attach(scratch)
-        tracer.bind(
-            engine=backend_cls.name, circuit=circuit.name, order=order_name
+        algebra = BackendSets(circuit=circuit, options=options)
+        return drive(
+            algebra, circuit, limits, count_states, order_name,
+            initial_points, checkpointer, tracer, sanitize,
         )
-        monitor = RunMonitor(
-            scratch, limits, checkpointer, tracer=tracer, sanitize=sanitize
-        )
-        result = ReachResult(
-            engine=backend_cls.name,
-            circuit=circuit.name,
-            order=order_name,
-            completed=False,
-        )
-        iterations = 0
-        reached = None
-        backend = None
-        peak_size = 0
-        try:
-            # Inside the try: infeasible circuits (over the backend's
-            # structural caps) degrade to an M.O. result, not a crash.
-            with tracer.span("setup"):
-                backend = backend_cls.from_circuit(circuit, **options)
-                init = backend.initial(initial_points)
-            reached = init
-            snapshot = monitor.restore()
-            if snapshot is not None:
-                payload = snapshot.meta.get("extra")
-                if isinstance(payload, dict) and "reached" in payload:
-                    reached = backend.from_payload(payload["reached"])
-                    iterations = snapshot.iteration
-                    result.extra["resumed_from"] = snapshot.iteration
-            while True:
-                iterations += 1
-                tracer.begin_iteration(iterations)
-                with tracer.span("image"):
-                    image = backend.image(reached)
-                with tracer.span("union"):
-                    new_reached = backend.union(reached, image)
-                with tracer.span("fixpoint_test"):
-                    fixed = backend.equal(new_reached, reached)
-                if fixed:
-                    # Keep ``reached``: a final over-approximate image
-                    # absorbed by the union must not taint the flag —
-                    # the fix point certifies reached contains its own
-                    # (true) image, so its exactness stands on its own
-                    # construction history.
-                    if tracer.enabled:
-                        with tracer.span("telemetry"):
-                            image_size = backend.size(image)
-                            reached_size = backend.size(reached)
-                        tracer.end_iteration(
-                            iterations,
-                            frontier_size=image_size,
-                            reached_size=reached_size,
-                            chi_size=reached_size,
-                            fixpoint=True,
-                        )
-                    break
-                reached = new_reached
-                if monitor.want_checkpoint(iterations):
-                    monitor.save_state(
-                        iterations,
-                        meta={"reached": backend.to_payload(reached)},
-                    )
-                monitor.checkpoint((), iterations)
-                monitor.audit(iterations)
-                reached_size = backend.size(reached)
-                image_size = backend.size(image)
-                if reached_size + image_size > peak_size:
-                    peak_size = reached_size + image_size
-                if tracer.enabled:
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=image_size,
-                        reached_size=reached_size,
-                        chi_size=reached_size,
-                    )
-            result.completed = True
-        except ResourceLimitError as error:
-            monitor.annotate(result, error, iterations)
-        except RecursionError:
-            monitor.annotate(
-                result,
-                ResourceLimitError("depth", "recursion limit exceeded"),
-                iterations,
-            )
-        result.iterations = iterations
-        with tracer.span("finalize"):
-            if monitor.sanitizer is not None:
-                result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-            if result.completed and backend is not None and reached is not None:
-                # peak_live_nodes is the cross-engine "peak representation"
-                # statistic; for backends that is the largest
-                # reached+frontier footprint any iteration held.
-                result.peak_live_nodes = max(
-                    peak_size, backend.size(reached)
-                )
-                result.reached_size = backend.size(reached)
-                result.extra["backend"] = backend.name
-                result.extra["exact"] = bool(getattr(reached, "exact", True))
-                states = backend.count(reached)
-                if count_states:
-                    result.num_states = states
-                if states <= ENUMERATION_CAP:
-                    result.extra["reached_states"] = set(
-                        backend.enumerate_states(reached, ENUMERATION_CAP)
-                    )
-        # Captured after the finalize span, matching the BDD engines.
-        result.seconds = monitor.elapsed
-        if tracer.enabled:
-            result.extra["obs"] = tracer.summary()
-            tracer.finish(result)
-        return result
 
     engine.__name__ = "%s_reachability" % backend_cls.name
     engine.__qualname__ = engine.__name__

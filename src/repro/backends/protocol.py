@@ -64,6 +64,10 @@ class SetBackend(abc.ABC):
 
     #: Registry/engine name of the backend (e.g. ``"bitset"``).
     name: str = "?"
+    #: False when operations may over-approximate (handles can come out
+    #: with ``exact=False``); the reachability driver then images the
+    #: full reached set instead of a frontier.
+    exact: bool = True
 
     # ------------------------------------------------------------------
     # Construction

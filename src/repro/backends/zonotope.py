@@ -254,6 +254,7 @@ class LogicalZonotopeBackend(SetBackend):
     """Affine-coset sets with exactness-tracked over-approximation."""
 
     name = "zono"
+    exact = False
 
     def __init__(self, circuit: Circuit) -> None:
         circuit.validate()

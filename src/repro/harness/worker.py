@@ -195,19 +195,29 @@ def _close_inherited_sockets() -> None:
     (its FIN is ignored while a dup of the socket survives here), and
     a closed server keeps its port busy.  Only sockets are closed —
     multiprocessing's pipes and the result/checkpoint files stay up.
+
+    Each socket's number is pointed at ``/dev/null`` rather than freed:
+    the inherited Python socket objects (a dead event loop's self-pipe,
+    say) still own those numbers and close them when collected, which
+    would otherwise close whatever file this child opened under the
+    reused number — its trace JSONL, mid-run.
     """
     try:
         fds = [int(name) for name in os.listdir("/proc/self/fd")]
     except (OSError, ValueError):  # pragma: no cover - no /proc
         return
-    for fd in fds:
-        if fd <= 2:
-            continue
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:
-            continue
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                continue
+    finally:
+        os.close(devnull)
 
 
 def _disarm_inherited_executors() -> None:

@@ -16,9 +16,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..bfv import BFV, from_characteristic, to_characteristic
 from ..bfv.ops import intersect
-from ..bfv.reparam import eliminate_params
-from ..errors import ReproError, ResourceLimitError
-from ..reach.common import ReachLimits, ReachSpace, RunMonitor
+from ..errors import ReproError
+from ..reach.bfv_engine import Simulation, VectorSets
+from ..reach.common import ReachLimits, ReachSpace
+from ..reach.driver import drive
+from ..reach.tr_engine import next_state_functions
 from ..sim.concrete import ConcreteSimulator
 from ..sim.symbolic import SymbolicSimulator
 
@@ -78,6 +80,39 @@ def _bad_states_chi(space: ReachSpace, simulator, prop) -> int:
     return bdd.not_(good)
 
 
+class _Rings(VectorSets):
+    """Figure 2 over onion rings: every iteration images the newest ring
+    (no selection heuristic) after testing it against the bad states."""
+
+    name = "check"
+    selection = False
+    violation = None
+
+    def setup(self, initial_points) -> None:
+        space = self.space
+        self.simulation = Simulation(self, self.schedule)
+        self.rings = [BFV.point(space.bdd, space.s_vars, space.initial_point)]
+        self.reached = self.frontier = self.rings[0]
+
+    def step(self, iteration: int) -> bool:
+        hit = intersect(self.frontier, self.bad)
+        if not hit.is_empty:
+            self.violation = next(hit.enumerate())
+            return True
+        return super().step(iteration)
+
+    def image(self, ring: BFV) -> BFV:
+        return self.simulation.image(ring)
+
+    def advance(self, new) -> None:
+        super().advance(new)
+        self.rings.append(self.frontier)
+
+    def export(self, result, count_states: bool) -> None:
+        if count_states:
+            result.num_states = self.reached.count()
+
+
 def check_invariant(
     circuit,
     prop,
@@ -97,69 +132,30 @@ def check_invariant(
     """
     space = ReachSpace(circuit, slots)
     bdd = space.bdd
-    simulator = SymbolicSimulator(bdd, circuit)
-    monitor = RunMonitor(bdd, limits)
-    result = CheckResult(holds=True)
-
-    bad_chi = bdd.incref(_bad_states_chi(space, simulator, prop))
+    bad_chi = _bad_states_chi(space, SymbolicSimulator(bdd, circuit), prop)
     if bad_chi == bdd.false:
         # Property holds vacuously over the whole state space.
-        return result
-    bad_vec = from_characteristic(bdd, space.s_vars, bad_chi)
-
-    input_drivers = {
-        net: bdd.incref(bdd.var(v)) for net, v in space.input_var.items()
-    }
-    params = list(space.s_vars) + list(space.x_vars)
-    latch_order = list(circuit.latches)
-    rename_map = dict(zip(space.t_vars, space.s_vars))
-
-    rings: List[BFV] = [BFV.point(bdd, space.s_vars, space.initial_point)]
-    reached = rings[0]
-    violation_point = None
-    try:
-        while True:
-            ring = rings[-1]
-            hit = intersect(ring, bad_vec)
-            if not hit.is_empty:
-                result.holds = False
-                violation_point = next(hit.enumerate())
-                break
-            # Image of the current ring (Fig 2: simulate, reparameterize).
-            drivers = dict(input_drivers)
-            for net, comp in zip(space.state_order, ring.components):
-                drivers[net] = comp
-            raw_by_latch = simulator.next_state(drivers)
-            by_net = dict(zip(latch_order, raw_by_latch))
-            raw = [by_net[n] for n in space.state_order]
-            image_t = eliminate_params(
-                bdd, space.t_vars, raw, params, schedule
-            )
-            image = BFV(
-                bdd,
-                space.s_vars,
-                [bdd.rename(f, rename_map) for f in image_t],
-                validate=False,
-            )
-            result.iterations += 1
-            new_reached = image.union(reached)
-            if new_reached == reached:
-                break  # fix point: every reachable state is good
-            reached = new_reached
-            rings.append(image)
-            monitor.checkpoint((), result.iterations)
-    except ResourceLimitError as error:
-        result.completed = False
-        result.failure = error.kind
-        result.holds = False  # unknown, conservatively not proven
-    result.seconds = monitor.elapsed
-    if count_states:
-        result.num_states = reached.count()
-    result.extra["space"] = space
-    result.extra["reached"] = reached
-    if violation_point is not None and produce_trace:
+        return CheckResult(holds=True)
+    rings = _Rings(
+        space, bad=from_characteristic(bdd, space.s_vars, bad_chi),
+        schedule=schedule,
+    )
+    run = drive(rings, circuit, limits, count_states)
+    violated = rings.violation is not None
+    result = CheckResult(
+        # A budget failure leaves the invariant unknown: not proven.
+        holds=run.completed and not violated,
+        completed=run.completed,
+        failure=run.failure,
+        # Iterations count images; the violating ring was not imaged.
+        iterations=run.iterations - violated,
+        seconds=run.seconds,
+        num_states=run.num_states,
+        extra={"space": space, "reached": rings.reached},
+    )
+    if violated and produce_trace:
         result.counterexample = _reconstruct_trace(
-            space, circuit, rings, violation_point
+            space, circuit, rings.rings, rings.violation
         )
     return result
 
@@ -169,11 +165,7 @@ def _reconstruct_trace(
 ) -> Trace:
     """Walk the onion rings backwards to a concrete input trace."""
     bdd = space.bdd
-    simulator = SymbolicSimulator(bdd, circuit)
-    drivers = {net: bdd.var(v) for net, v in space.input_var.items()}
-    drivers.update({net: bdd.var(v) for net, v in space.state_var.items()})
-    deltas_by_latch = simulator.next_state(drivers)
-    by_net = dict(zip(circuit.latches, deltas_by_latch))
+    by_net = next_state_functions(space)
     deltas = [by_net[n] for n in space.state_order]
 
     target = tuple(violation_point)

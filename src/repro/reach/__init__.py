@@ -1,5 +1,12 @@
 """Symbolic reachability engines compared in the paper.
 
+Every engine is one set algebra run by one fix-point loop,
+:func:`repro.reach.driver.drive`: the driver owns restore, the
+checkpoint/budget/audit tick, tracing, failure reporting, finalize and
+pin release, and an engine module supplies only a
+:class:`~repro.reach.driver.SetAlgebra` (set-up, image, union and
+fix-point test, sizes, snapshot and export) plus its public function.
+
 * :func:`bfv_reachability` — the paper's contribution (Figure 2): BFV
   sets, symbolic simulation, re-parameterization, direct union.
 * :func:`tr_reachability` — the VIS/IWLS95 baseline: characteristic
@@ -23,9 +30,9 @@
   over-approximation), adapted to the engine contract by
   :func:`repro.backends.engine.backend_engine`.
 
-All engines share a variable layout (:class:`ReachSpace`), resource
-budgets (:class:`ReachLimits`, reported as the paper's T.O./M.O.) and
-statistics (:class:`ReachResult`).
+All engines share the driver, a variable layout (:class:`ReachSpace`),
+resource budgets (:class:`ReachLimits`, reported as the paper's
+T.O./M.O.) and statistics (:class:`ReachResult`).
 """
 
 from ..backends import BitsetBackend, LogicalZonotopeBackend, backend_engine

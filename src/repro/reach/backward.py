@@ -15,9 +15,36 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ..errors import ResourceLimitError
-from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
-from .iwls95 import PartitionedRelation
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import drive
+from .tr_engine import ChiSets, next_state_functions, transition_relation
+
+
+class _Backward(ChiSets):
+    """Pre-image steps from the targets; the frontier is the new states."""
+
+    name = "backward"
+    export_key = "backward_chi"
+    selection = False
+
+    def setup(self, initial_points) -> None:
+        space = self.space
+        quantify = list(space.s_vars) + list(space.x_vars)
+        self.relation = transition_relation(
+            space, next_state_functions(space), quantify, self.cluster_threshold
+        )
+        self.pins.extend(self.relation.clusters)
+        self.lift = dict(zip(space.s_vars, space.t_vars))
+        targets = list(self.target_states)
+        self.start(space.initial_chi(targets) if targets else space.bdd.false)
+
+    def image(self, frontier: int) -> int:
+        # Lift the frontier to next-state variables and step back.
+        space = self.space
+        with self.tracer.span("image"):
+            return self.relation.pre_image(
+                self.bdd.rename(frontier, self.lift), space.t_vars, space.x_vars
+            )
 
 
 def backward_reachability(
@@ -35,86 +62,16 @@ def backward_reachability(
     ``target_states`` are given in latch declaration order.  Returns a
     :class:`ReachResult` whose ``extra['backward_chi']`` holds the
     characteristic function (over current-state variables) of the
-    backward-reachable set, including the targets themselves.
+    backward-reachable set, including the targets themselves.  A budget
+    failure records how far the run got (``extra['elapsed']``,
+    ``['iteration']``, ``['live_nodes']``) like every forward engine.
     """
     if space is None:
         space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    simulator = SymbolicSimulator(bdd, circuit)
-    monitor = RunMonitor(bdd, limits)
-
-    deltas_by_latch = simulator.transition_functions(
-        dict(space.input_var), dict(space.state_var)
+    algebra = _Backward(
+        space, target_states=target_states, cluster_threshold=cluster_threshold
     )
-    by_net = dict(zip(circuit.latches, deltas_by_latch))
-    parts = [
-        bdd.equiv(bdd.var(space.next_var[net]), by_net[net])
-        for net in space.state_order
-    ]
-    quantify = list(space.s_vars) + list(space.x_vars)
-    relation = PartitionedRelation(
-        bdd, parts, quantify, cluster_threshold=cluster_threshold
-    )
-
-    declaration = list(circuit.latches)
-    index = {net: i for i, net in enumerate(declaration)}
-    target = bdd.false
-    for point in target_states:
-        cube = {
-            space.state_var[net]: bool(point[index[net]])
-            for net in space.state_order
-        }
-        target = bdd.or_(target, bdd.cube(cube))
-
-    reached = bdd.incref(target)
-    frontier = bdd.incref(target)
-    iterations = 0
-    result = ReachResult(
-        engine="backward",
-        circuit=circuit.name,
-        order=order_name,
-        completed=False,
-    )
-    try:
-        while True:
-            iterations += 1
-            # Lift the frontier to next-state variables and step back.
-            frontier_t = bdd.rename(
-                frontier, dict(zip(space.s_vars, space.t_vars))
-            )
-            predecessors = relation.pre_image(
-                frontier_t, space.t_vars, space.x_vars
-            )
-            new = bdd.diff(predecessors, reached)
-            if new == bdd.false:
-                break
-            previous = reached
-            reached = bdd.incref(bdd.or_(reached, new))
-            bdd.decref(previous)
-            bdd.decref(frontier)
-            frontier = bdd.incref(new)
-            monitor.checkpoint((), iterations)
-        result.completed = True
-    except ResourceLimitError as error:
-        result.failure = error.kind
-    except RecursionError:
-        result.failure = "depth"
-    result.iterations = iterations
-    # The frontier's pin is ours alone; only `reached` outlives this
-    # function (via result.extra), so release the frontier before the
-    # final sweep.
-    bdd.decref(frontier)
-    bdd.collect_garbage()
-    result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-    result.extra["cache"] = bdd.cache_stats()
-    result.reached_size = bdd.dag_size(reached)
-    if result.completed:
-        result.extra["space"] = space
-        result.extra["backward_chi"] = reached
-        if count_states:
-            result.num_states = space.states_of(reached)
-    result.seconds = monitor.elapsed
-    return result
+    return drive(algebra, circuit, limits, count_states, order_name)
 
 
 def can_reach(

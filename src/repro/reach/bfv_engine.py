@@ -15,18 +15,110 @@ current-state choice variables; each iteration
 No characteristic function is ever constructed.  The *selection
 heuristic* of Figures 1/2 picks the representation-smaller of the image
 and the reached set as the next from-set.
+
+:class:`Simulation` (steps 1-2) is shared with the ``cbm``, ``conj``
+and ``bfv-sat`` engines; :class:`VectorSets` (steps 3-4) with
+``conj`` and ``bfv-sat``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..bfv import BFV
 from ..bfv.reparam import eliminate_params
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
 from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import SetAlgebra, drive
+
+
+class Simulation:
+    """Figure 2's image: symbolic simulation, then re-parameterization.
+
+    ``inputs`` (default: every input variable) are driven by their own
+    variables and stay parameters; the rest must be driven by the
+    ``constants`` handed to :meth:`image`.  The input drivers are
+    set-up pins of ``algebra``.
+    """
+
+    def __init__(self, algebra: SetAlgebra, schedule: str, inputs=None):
+        space = algebra.space
+        bdd = space.bdd
+        if inputs is None:
+            inputs = space.x_vars
+        self.space = space
+        self.schedule = schedule
+        self.tracer = algebra.tracer
+        self.simulator = SymbolicSimulator(bdd, space.circuit)
+        self.drivers = {
+            net: algebra.pin(bdd.var(v))
+            for net, v in space.input_var.items()
+            if v in inputs
+        }
+        self.params = list(space.s_vars) + list(inputs)
+        self.latch_order = list(space.circuit.latches)
+        self.rename_map = dict(zip(space.t_vars, space.s_vars))
+
+    def simulate(self, components, constants=None) -> List[int]:
+        """Raw next-state vector (component order) for a from-set."""
+        drivers: Dict[str, int] = dict(self.drivers)
+        if constants:
+            drivers.update(constants)
+        drivers.update(zip(self.space.state_order, components))
+        by_net = dict(zip(self.latch_order, self.simulator.next_state(drivers)))
+        return [by_net[n] for n in self.space.state_order]
+
+    def reparam(self, raw: List[int]) -> BFV:
+        """Canonical image vector of a raw next-state vector."""
+        space = self.space
+        bdd = space.bdd
+        with self.tracer.span("reparam"):
+            image_t = eliminate_params(
+                bdd, space.t_vars, raw, self.params, self.schedule
+            )
+            comps = [bdd.rename(f, self.rename_map) for f in image_t]
+            return BFV(bdd, space.s_vars, comps, validate=False)
+
+    def image(self, frontier: BFV, constants=None) -> BFV:
+        with self.tracer.span("image"):
+            raw = self.simulate(frontier.components, constants)
+        return self.reparam(raw)
+
+
+class VectorSets(SetAlgebra):
+    """Sets as canonical BFVs (which pin their own components)."""
+
+    def add(self, image) -> bool:
+        """Unite ``image`` into reached; False if it adds nothing."""
+        with self.tracer.span("union"):
+            reached = image.union(self.reached)
+        with self.tracer.span("fixpoint_test"):
+            fixed = reached == self.reached
+        if fixed:
+            return False
+        self.reached = reached
+        self.advance(image)
+        return True
+
+    def size(self, vec) -> int:
+        return vec.shared_size()
+
+    def count(self, vec) -> int:
+        return vec.count()
+
+
+class _Figure2(VectorSets):
+    name = "bfv"
+
+    def setup(self, initial_points) -> None:
+        space = self.space
+        self.simulation = Simulation(self, self.schedule)
+        self.reached = self.frontier = BFV.from_points(
+            space.bdd, space.s_vars, space.initial_point_set(initial_points)
+        )
+
+    def image(self, frontier: BFV) -> BFV:
+        return self.simulation.image(frontier)
 
 
 def bfv_reachability(
@@ -59,117 +151,8 @@ def bfv_reachability(
     """
     if space is None:
         space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="bfv", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    algebra = _Figure2(space, schedule=schedule, selection=selection_heuristic)
+    return drive(
+        algebra, circuit, limits, count_states, order_name,
+        initial_points, checkpointer, tracer, sanitize,
     )
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        input_drivers = {
-            net: bdd.incref(bdd.var(v)) for net, v in space.input_var.items()
-        }
-        params = list(space.s_vars) + list(space.x_vars)
-        latch_order = list(circuit.latches)
-        rename_map = dict(zip(space.t_vars, space.s_vars))
-
-        init = BFV.from_points(
-            bdd, space.s_vars, space.initial_point_set(initial_points)
-        )
-    reached = init
-    frontier = init
-    iterations = 0
-    result = ReachResult(
-        engine="bfv", circuit=circuit.name, order=order_name, completed=False
-    )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        reached = snapshot.vectors["reached"]
-        frontier = snapshot.vectors["frontier"]
-        iterations = snapshot.iteration
-        result.extra["resumed_from"] = snapshot.iteration
-    try:
-        while True:
-            iterations += 1
-            tracer.begin_iteration(iterations)
-            with tracer.span("image"):
-                drivers = dict(input_drivers)
-                for net, comp in zip(space.state_order, frontier.components):
-                    drivers[net] = comp
-                raw_by_latch = simulator.next_state(drivers)
-                by_net = dict(zip(latch_order, raw_by_latch))
-                raw = [by_net[n] for n in space.state_order]
-            with tracer.span("reparam"):
-                image_t = eliminate_params(
-                    bdd, space.t_vars, raw, params, schedule
-                )
-                image_comps = [bdd.rename(f, rename_map) for f in image_t]
-                image = BFV(bdd, space.s_vars, image_comps, validate=False)
-            with tracer.span("union"):
-                new_reached = image.union(reached)
-            with tracer.span("fixpoint_test"):
-                fixed = new_reached == reached
-            if fixed:
-                if tracer.enabled:
-                    with tracer.span("telemetry"):
-                        frontier_size = frontier.shared_size()
-                        reached_size = reached.shared_size()
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=frontier_size,
-                        reached_size=reached_size,
-                        fixpoint=True,
-                    )
-                break
-            reached = new_reached
-            if selection_heuristic and image.shared_size() < reached.shared_size():
-                frontier = image
-            else:
-                frontier = reached
-            if monitor.want_checkpoint(iterations):
-                monitor.save_state(
-                    iterations,
-                    vectors={"reached": reached, "frontier": frontier},
-                )
-            monitor.checkpoint((), iterations)
-            monitor.audit(iterations, vectors=(reached, frontier))
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = frontier.shared_size()
-                    reached_size = reached.shared_size()
-                tracer.end_iteration(
-                    iterations,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                )
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, iterations)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            iterations,
-        )
-    result.iterations = iterations
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = reached.shared_size()
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached"] = reached
-            if count_states:
-                result.num_states = reached.count()
-    # Captured after the finalize span: every engine reports the same
-    # window, and traced phase self-times can never exceed it.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

@@ -23,14 +23,64 @@ algorithms eliminate (compare Figures 1 and 2).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from ..bfv import BFV, from_characteristic, to_characteristic
-from ..bfv.reparam import eliminate_params
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
-from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
+from ..bfv import from_characteristic, to_characteristic
+from .bfv_engine import Simulation
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import drive
+from .tr_engine import ChiSets, next_state_functions
+
+
+class _Figure1(ChiSets):
+    name = "cbm"
+    conversion = 0.0
+    image_vec = None
+
+    def setup(self, initial_points) -> None:
+        space = self.space
+        self.simulation = Simulation(self, self.schedule)
+        if self.image_method == "constrain":
+            by_net = next_state_functions(space, self.simulation.simulator)
+            self.deltas = [self.pin(by_net[n]) for n in space.state_order]
+        self.start(space.initial_chi(initial_points))
+
+    @contextmanager
+    def _converting(self):
+        """A ``chi_conversion`` span whose time also counts as conversion."""
+        with self.tracer.span("chi_conversion"):
+            t0 = time.monotonic()
+            yield
+            self.conversion += time.monotonic() - t0
+
+    def image(self, from_chi: int) -> int:
+        bdd = self.bdd
+        if self.image_method == "simulate":
+            # chi -> BFV conversion (the cost Figure 2 avoids).
+            with self._converting():
+                frontier = from_characteristic(bdd, self.space.s_vars, from_chi)
+            self.image_vec = self.simulation.image(frontier)
+        else:
+            # Range computation [7]: generalized cofactor of each
+            # transition function by the from-set; the image is the
+            # range of the constrained vector.
+            with self.tracer.span("image"):
+                raw = [bdd.constrain(delta, from_chi) for delta in self.deltas]
+            self.image_vec = self.simulation.reparam(raw)
+        # BFV -> chi conversion.
+        with self._converting():
+            return to_characteristic(self.image_vec)
+
+    def audit_roots(self):
+        return {
+            "roots": (self.reached, self.frontier),
+            "vectors": (self.image_vec,),
+        }
+
+    def export(self, result: ReachResult, count_states: bool) -> None:
+        result.conversion_seconds = self.conversion
+        super().export(result, count_states)
 
 
 def cbm_reachability(
@@ -61,157 +111,13 @@ def cbm_reachability(
         raise ValueError("unknown image_method %r" % image_method)
     if space is None:
         space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="cbm", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    algebra = _Figure1(
+        space,
+        schedule=schedule,
+        selection=selection_heuristic,
+        image_method=image_method,
     )
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        input_drivers = {
-            net: bdd.incref(bdd.var(v)) for net, v in space.input_var.items()
-        }
-        params = list(space.s_vars) + list(space.x_vars)
-        latch_order = list(circuit.latches)
-        rename_map = dict(zip(space.t_vars, space.s_vars))
-
-        deltas = None
-        if image_method == "constrain":
-            deltas_by_latch = simulator.transition_functions(
-                dict(space.input_var), dict(space.state_var)
-            )
-            by_net = dict(zip(latch_order, deltas_by_latch))
-            deltas = [bdd.incref(by_net[n]) for n in space.state_order]
-
-        reached = bdd.incref(space.initial_chi(initial_points))
-        from_chi = bdd.incref(reached)
-    iterations = 0
-    conversion = 0.0
-    result = ReachResult(
-        engine="cbm", circuit=circuit.name, order=order_name, completed=False
+    return drive(
+        algebra, circuit, limits, count_states, order_name,
+        initial_points, checkpointer, tracer, sanitize,
     )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        # The restored handles arrive with their own pins; drop ours
-        # before adopting them or the initial-state refs leak for the
-        # whole resumed run.
-        bdd.decref(reached)
-        bdd.decref(from_chi)
-        reached = snapshot.functions["reached"]
-        from_chi = snapshot.functions["frontier"]
-        iterations = snapshot.iteration
-        result.extra["resumed_from"] = snapshot.iteration
-    try:
-        while True:
-            iterations += 1
-            tracer.begin_iteration(iterations)
-            if image_method == "simulate":
-                # chi -> BFV conversion (the cost Figure 2 avoids).
-                with tracer.span("chi_conversion"):
-                    t0 = time.monotonic()
-                    frontier = from_characteristic(bdd, space.s_vars, from_chi)
-                    conversion += time.monotonic() - t0
-                with tracer.span("image"):
-                    drivers = dict(input_drivers)
-                    for net, comp in zip(
-                        space.state_order, frontier.components
-                    ):
-                        drivers[net] = comp
-                    raw_by_latch = simulator.next_state(drivers)
-                    by_net = dict(zip(latch_order, raw_by_latch))
-                    raw = [by_net[n] for n in space.state_order]
-            else:
-                # Range computation [7]: generalized cofactor of each
-                # transition function by the from-set; the image is the
-                # range of the constrained vector.
-                with tracer.span("image"):
-                    raw = [
-                        bdd.constrain(delta, from_chi) for delta in deltas
-                    ]
-            with tracer.span("reparam"):
-                image_t = eliminate_params(
-                    bdd, space.t_vars, raw, params, schedule
-                )
-                image_comps = [bdd.rename(f, rename_map) for f in image_t]
-                image_vec = BFV(bdd, space.s_vars, image_comps, validate=False)
-            # BFV -> chi conversion.
-            with tracer.span("chi_conversion"):
-                t0 = time.monotonic()
-                image = to_characteristic(image_vec)
-                conversion += time.monotonic() - t0
-            with tracer.span("fixpoint_test"):
-                new = bdd.diff(image, reached)
-                fixed = new == bdd.false
-            if fixed:
-                if tracer.enabled:
-                    with tracer.span("telemetry"):
-                        frontier_size = bdd.dag_size(from_chi)
-                        reached_size = bdd.dag_size(reached)
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=frontier_size,
-                        reached_size=reached_size,
-                        chi_size=reached_size,
-                        fixpoint=True,
-                    )
-                break
-            previous = reached
-            with tracer.span("union"):
-                reached = bdd.incref(bdd.or_(reached, image))
-            bdd.decref(previous)
-            bdd.decref(from_chi)
-            if selection_heuristic and bdd.dag_size(new) > bdd.dag_size(reached):
-                from_chi = bdd.incref(reached)
-            else:
-                from_chi = bdd.incref(new)
-            if monitor.want_checkpoint(iterations):
-                monitor.save_state(
-                    iterations,
-                    functions={"reached": reached, "frontier": from_chi},
-                )
-            monitor.checkpoint((), iterations)
-            monitor.audit(
-                iterations, roots=(reached, from_chi), vectors=(image_vec,)
-            )
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = bdd.dag_size(from_chi)
-                    reached_size = bdd.dag_size(reached)
-                tracer.end_iteration(
-                    iterations,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                    chi_size=reached_size,
-                )
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, iterations)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            iterations,
-        )
-    result.iterations = iterations
-    result.conversion_seconds = conversion
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = bdd.dag_size(reached)
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached_chi"] = reached
-            if count_states:
-                result.num_states = space.states_of(reached)
-    # Captured after the finalize span: every engine reports the same
-    # window, and traced phase self-times can never exceed it.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

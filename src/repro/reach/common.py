@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from ..bdd import BDD
 from ..circuits.netlist import Circuit
@@ -406,7 +406,9 @@ class RunMonitor:
 
         Live nodes never exceed allocated nodes, so while the allocated
         count stays within ``max_live_nodes`` a memory violation is
-        impossible and no mark pass is needed.  Past the budget, a
+        impossible; a mark pass runs there only when allocation passes
+        the peak, the one case where the live count could raise
+        :attr:`peak_live`.  Past the budget, a
         *mark-only* :meth:`~repro.bdd.BDD.count_live` enforces the limit
         exactly without freeing anything; the actual collection — which
         also sweeps every computed-table entry whose nodes died — is
@@ -432,62 +434,41 @@ class RunMonitor:
             # engines used before collection became budget-driven.  The
             # benchmark baseline sets this to reproduce the seed stack
             # end-to-end (see tests/bdd/reference_kernels.py).
-            with self.tracer.span("gc"):
-                bdd.collect_garbage(roots)
-                live = self._gc_live = bdd.count_live(roots)
-                self._audit_nodes = 0
-            if live > self.peak_live:
-                self.peak_live = live
+            collect = True
         elif budget is not None:
-            if allocated <= budget:
-                live = allocated  # upper bound; exact count not needed
-            elif allocated <= 5 * budget:
-                live = bdd.count_live(roots)  # mark-only budget check
-                if live > self.peak_live:
-                    self.peak_live = live
-            else:
-                with self.tracer.span("gc"):
-                    bdd.collect_garbage(roots)
-                    live = self._gc_live = bdd.count_live(roots)
-                    self._audit_nodes = 0
-                if live > self.peak_live:
-                    self.peak_live = live
-        elif allocated > max(self.gc_floor, 2 * self._gc_live):
+            collect = allocated > 5 * budget
+        else:
+            collect = allocated > max(self.gc_floor, 2 * self._gc_live)
+        counted = True
+        if collect:
             with self.tracer.span("gc"):
                 bdd.collect_garbage(roots)
                 live = self._gc_live = bdd.count_live(roots)
                 self._audit_nodes = 0
-            if live > self.peak_live:
-                self.peak_live = live
+        elif budget is not None and allocated > min(budget, self.peak_live):
+            # Mark-only count: past the budget it enforces the limit
+            # exactly; below it, live never exceeds allocated, so only
+            # an allocation past the peak can raise the peak.
+            live = bdd.count_live(roots)
         else:
-            live = allocated
-        if limits.max_live_nodes is not None and live > limits.max_live_nodes:
-            raise ResourceLimitError(
-                "memory",
-                "live nodes %d exceed budget" % live,
-                elapsed=self.elapsed,
-                iteration=iteration,
-                live_nodes=live,
-            )
-        if (
-            limits.max_seconds is not None
-            and self.elapsed > limits.max_seconds
-        ):
-            raise ResourceLimitError(
-                "time",
-                "time budget exceeded",
-                elapsed=self.elapsed,
-                iteration=iteration,
-                live_nodes=live,
-            )
+            live, counted = allocated, False  # upper bound, not a count
+        if counted and live > self.peak_live:
+            self.peak_live = live
+        if budget is not None and live > budget:
+            self._exceeded("memory", "live nodes %d exceed budget" % live, live)
+        if limits.max_seconds is not None and self.elapsed > limits.max_seconds:
+            self._exceeded("time", "time budget exceeded", live)
         if (
             limits.max_iterations is not None
             and iteration >= limits.max_iterations
         ):
-            raise ResourceLimitError(
-                "iterations",
-                "iteration budget exceeded",
-                elapsed=self.elapsed,
-                iteration=iteration,
-                live_nodes=live,
-            )
+            self._exceeded("iterations", "iteration budget exceeded", live)
+
+    def _exceeded(self, kind: str, message: str, live: int) -> NoReturn:
+        raise ResourceLimitError(
+            kind,
+            message,
+            elapsed=self.elapsed,
+            iteration=self.iteration,
+            live_nodes=live,
+        )

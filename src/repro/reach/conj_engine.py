@@ -16,11 +16,64 @@ from typing import Optional, Sequence
 
 from ..bfv import BFV
 from ..bfv.conjunctive import ConjunctiveDecomposition
-from ..bfv.reparam import eliminate_params
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
-from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
+from .bfv_engine import Simulation, VectorSets
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import drive
+
+
+class _Conjunctive(VectorSets):
+    """Reached is a decomposition; the frontier stays a BFV."""
+
+    name = "conj"
+    export_key = "reached_cd"
+    image_vec = image_cd = None
+
+    def setup(self, initial_points) -> None:
+        space = self.space
+        self.simulation = Simulation(self, self.schedule)
+        self.frontier = BFV.from_points(
+            space.bdd, space.s_vars, space.initial_point_set(initial_points)
+        )
+        self.reached = ConjunctiveDecomposition.from_bfv(self.frontier)
+
+    def load(self, snapshot, name):
+        vec = snapshot.vectors[name]
+        if name == "reached":
+            return ConjunctiveDecomposition.from_bfv(vec)
+        return vec
+
+    def image(self, frontier: BFV) -> BFV:
+        self.image_vec = self.simulation.image(frontier)
+        return self.image_vec
+
+    def add(self, image_vec: BFV) -> bool:
+        with self.tracer.span("union"):
+            self.image_cd = ConjunctiveDecomposition.from_bfv(image_vec)
+            reached = self.image_cd.union(self.reached)
+        with self.tracer.span("fixpoint_test"):
+            fixed = reached == self.reached
+        if fixed:
+            return False
+        self.reached = reached
+        self.advance(self.image_cd)
+        return True
+
+    def frontier_of(self, cd):
+        return self.image_vec if cd is self.image_cd else cd.to_bfv()
+
+    def snapshot(self):
+        return {
+            "vectors": {
+                "reached": self.reached.to_bfv(),
+                "frontier": self.frontier,
+            }
+        }
+
+    def audit_roots(self):
+        return {
+            "vectors": (self.image_vec, self.frontier),
+            "decompositions": (self.reached,),
+        }
 
 
 def conj_reachability(
@@ -45,130 +98,10 @@ def conj_reachability(
     """
     if space is None:
         space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="conj", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    algebra = _Conjunctive(
+        space, schedule=schedule, selection=selection_heuristic
     )
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        input_drivers = {
-            net: bdd.incref(bdd.var(v)) for net, v in space.input_var.items()
-        }
-        params = list(space.s_vars) + list(space.x_vars)
-        latch_order = list(circuit.latches)
-        rename_map = dict(zip(space.t_vars, space.s_vars))
-
-        init = BFV.from_points(
-            bdd, space.s_vars, space.initial_point_set(initial_points)
-        )
-        reached = ConjunctiveDecomposition.from_bfv(init)
-    frontier = init
-    iterations = 0
-    result = ReachResult(
-        engine="conj", circuit=circuit.name, order=order_name, completed=False
+    return drive(
+        algebra, circuit, limits, count_states, order_name,
+        initial_points, checkpointer, tracer, sanitize,
     )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        reached = ConjunctiveDecomposition.from_bfv(
-            snapshot.vectors["reached"]
-        )
-        frontier = snapshot.vectors["frontier"]
-        iterations = snapshot.iteration
-        result.extra["resumed_from"] = snapshot.iteration
-    try:
-        while True:
-            iterations += 1
-            tracer.begin_iteration(iterations)
-            with tracer.span("image"):
-                drivers = dict(input_drivers)
-                for net, comp in zip(space.state_order, frontier.components):
-                    drivers[net] = comp
-                raw_by_latch = simulator.next_state(drivers)
-                by_net = dict(zip(latch_order, raw_by_latch))
-                raw = [by_net[n] for n in space.state_order]
-            with tracer.span("reparam"):
-                image_t = eliminate_params(
-                    bdd, space.t_vars, raw, params, schedule
-                )
-                image_comps = [bdd.rename(f, rename_map) for f in image_t]
-                image_vec = BFV(bdd, space.s_vars, image_comps, validate=False)
-            with tracer.span("union"):
-                image = ConjunctiveDecomposition.from_bfv(image_vec)
-                new_reached = image.union(reached)
-            with tracer.span("fixpoint_test"):
-                fixed = new_reached == reached
-            if fixed:
-                if tracer.enabled:
-                    with tracer.span("telemetry"):
-                        frontier_size = frontier.shared_size()
-                        reached_size = reached.shared_size()
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=frontier_size,
-                        reached_size=reached_size,
-                        fixpoint=True,
-                    )
-                break
-            reached = new_reached
-            if (
-                selection_heuristic
-                and image.shared_size() < reached.shared_size()
-            ):
-                frontier = image_vec
-            else:
-                frontier = reached.to_bfv()
-            if monitor.want_checkpoint(iterations):
-                monitor.save_state(
-                    iterations,
-                    vectors={
-                        "reached": reached.to_bfv(),
-                        "frontier": frontier,
-                    },
-                )
-            monitor.checkpoint((), iterations)
-            monitor.audit(
-                iterations,
-                vectors=(image_vec, frontier),
-                decompositions=(reached,),
-            )
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = frontier.shared_size()
-                    reached_size = reached.shared_size()
-                tracer.end_iteration(
-                    iterations,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                )
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, iterations)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            iterations,
-        )
-    result.iterations = iterations
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = reached.shared_size()
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached_cd"] = reached
-            if count_states:
-                result.num_states = reached.count()
-    # Captured after the finalize span: every engine reports the same
-    # window, and traced phase self-times can never exceed it.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

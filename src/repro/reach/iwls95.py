@@ -152,26 +152,13 @@ class PartitionedRelation:
         """
         bdd = self.bdd
         quantify = set(next_vars) | set(input_vars)
-        # Early quantification: a variable can be summed once no
-        # remaining cluster mentions it.
-        supports = [set(bdd.support(c)) for c in self.clusters]
-        later: list = [set()] * len(self.clusters)
-        seen_after: set = set()
-        for i in range(len(self.clusters) - 1, -1, -1):
-            later[i] = set(seen_after)
-            seen_after |= supports[i]
         product = target
-        for i, cluster in enumerate(self.clusters):
-            dying = [
-                v
-                for v in quantify
-                if v not in later[i]
-                and (v in supports[i] or i == len(self.clusters) - 1)
-            ]
+        # Early quantification: a variable is summed once no remaining
+        # cluster mentions it; the last step sums everything left.
+        for cluster, dying in quantification_schedule(
+            bdd, self.clusters, quantify
+        ):
             product = bdd.and_exists(product, cluster, dying)
-        leftovers = quantify - set().union(*supports) if supports else quantify
-        if leftovers:
-            product = bdd.exists(sorted(leftovers), product)
         return product
 
     def release(self) -> None:

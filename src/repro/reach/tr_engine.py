@@ -5,17 +5,100 @@ over the current-state variables; images are computed through an
 IWLS95-style partitioned transition relation with early quantification
 (:mod:`repro.reach.iwls95`); the frontier (newly reached states) —
 or the reached set, when smaller — feeds the next iteration.
+
+:class:`ChiSets` is the characteristic-function set algebra the
+``cbm``, ``sat`` and ``backward`` engines share.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
 from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import SetAlgebra, drive
 from .iwls95 import PartitionedRelation
+
+
+def next_state_functions(space: ReachSpace, simulator=None) -> Dict[str, int]:
+    """Every latch's next-state function over the s/x variables, by net."""
+    circuit = space.circuit
+    if simulator is None:
+        simulator = SymbolicSimulator(space.bdd, circuit)
+    deltas = simulator.transition_functions(
+        dict(space.input_var), dict(space.state_var)
+    )
+    return dict(zip(circuit.latches, deltas))
+
+
+def transition_relation(
+    space: ReachSpace, by_net, quantify, cluster_threshold: int, cube=None
+) -> PartitionedRelation:
+    """The per-latch ``t_i <-> delta_i`` relation, optionally cofactored
+    by an input ``cube``, clustered for early quantification."""
+    bdd = space.bdd
+    parts = []
+    for net in space.state_order:
+        delta = by_net[net]
+        if cube:
+            delta = bdd.cofactor_cube(delta, cube)
+        parts.append(bdd.equiv(bdd.var(space.next_var[net]), delta))
+    return PartitionedRelation(
+        bdd, parts, quantify, cluster_threshold=cluster_threshold
+    )
+
+
+class ChiSets(SetAlgebra):
+    """Sets as characteristic functions over ``s``, pinned while held."""
+
+    export_key = "reached_chi"
+    store = "functions"
+    chi = True
+
+    def hold(self, node):
+        return self.bdd.incref(node)
+
+    def drop(self, node) -> None:
+        self.bdd.decref(node)
+
+    def start(self, init: int) -> None:
+        self.reached = self.hold(init)
+        self.frontier = self.hold(init)
+
+    def add(self, image: int) -> bool:
+        """Unite ``image`` into reached; False if it adds nothing."""
+        bdd = self.bdd
+        with self.tracer.span("fixpoint_test"):
+            new = bdd.diff(image, self.reached)
+        if new == bdd.false:
+            return False
+        with self.tracer.span("union"):
+            self.reached = self.swap(self.reached, bdd.or_(self.reached, image))
+            self.advance(new)
+        return True
+
+    def size(self, node: int) -> int:
+        return self.bdd.dag_size(node)
+
+    def count(self, node: int) -> int:
+        return self.space.states_of(node)
+
+
+class _TransitionRelation(ChiSets):
+    name = "tr"
+
+    def setup(self, initial_points) -> None:
+        space = self.space
+        quantify = list(space.s_vars) + list(space.x_vars)
+        self.relation = transition_relation(
+            space, next_state_functions(space), quantify, self.cluster_threshold
+        )
+        self.pins.extend(self.relation.clusters)
+        self.start(space.initial_chi(initial_points))
+
+    def image(self, frontier: int) -> int:
+        with self.tracer.span("image"):
+            return self.space.t_to_s(self.relation.image(frontier))
 
 
 def tr_reachability(
@@ -44,124 +127,10 @@ def tr_reachability(
     """
     if space is None:
         space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="tr", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    algebra = _TransitionRelation(
+        space, cluster_threshold=cluster_threshold, selection=selection_heuristic
     )
-
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        net_input_vars = {net: v for net, v in space.input_var.items()}
-        net_state_vars = {net: v for net, v in space.state_var.items()}
-        deltas_by_latch = simulator.transition_functions(
-            net_input_vars, net_state_vars
-        )
-        by_net = dict(zip(circuit.latches, deltas_by_latch))
-        parts = [
-            bdd.equiv(bdd.var(space.next_var[net]), by_net[net])
-            for net in space.state_order
-        ]
-        quantify = list(space.s_vars) + list(space.x_vars)
-        relation = PartitionedRelation(
-            bdd, parts, quantify, cluster_threshold=cluster_threshold
-        )
-
-        init = bdd.incref(space.initial_chi(initial_points))
-    reached = init
-    frontier = init
-    iterations = 0
-    result = ReachResult(
-        engine="tr", circuit=circuit.name, order=order_name, completed=False
+    return drive(
+        algebra, circuit, limits, count_states, order_name,
+        initial_points, checkpointer, tracer, sanitize,
     )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        # `reached` and `frontier` both alias `init`, whose single pin
-        # is dropped here; the restored handles arrive with their own.
-        bdd.decref(reached)
-        reached = snapshot.functions["reached"]
-        frontier = snapshot.functions["frontier"]
-        iterations = snapshot.iteration
-        result.extra["resumed_from"] = snapshot.iteration
-    try:
-        while True:
-            iterations += 1
-            tracer.begin_iteration(iterations)
-            with tracer.span("image"):
-                image_t = relation.image(frontier)
-                image = space.t_to_s(image_t)
-            with tracer.span("fixpoint_test"):
-                new = bdd.diff(image, reached)
-                fixed = new == bdd.false
-            if fixed:
-                if tracer.enabled:
-                    with tracer.span("telemetry"):
-                        frontier_size = bdd.dag_size(frontier)
-                        reached_size = bdd.dag_size(reached)
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=frontier_size,
-                        reached_size=reached_size,
-                        chi_size=reached_size,
-                        fixpoint=True,
-                    )
-                break
-            previous = reached
-            with tracer.span("union"):
-                reached = bdd.incref(bdd.or_(reached, image))
-                bdd.decref(previous)
-                bdd.decref(frontier)
-                if selection_heuristic and bdd.dag_size(new) > bdd.dag_size(
-                    reached
-                ):
-                    frontier = bdd.incref(reached)
-                else:
-                    frontier = bdd.incref(new)
-            if monitor.want_checkpoint(iterations):
-                monitor.save_state(
-                    iterations,
-                    functions={"reached": reached, "frontier": frontier},
-                )
-            monitor.checkpoint((), iterations)
-            monitor.audit(iterations, roots=(reached, frontier))
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = bdd.dag_size(frontier)
-                    reached_size = bdd.dag_size(reached)
-                tracer.end_iteration(
-                    iterations,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                    chi_size=reached_size,
-                )
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, iterations)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            iterations,
-        )
-    result.iterations = iterations
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = bdd.dag_size(reached)
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached_chi"] = reached
-            if count_states:
-                result.num_states = space.states_of(reached)
-    # Captured after the finalize span: every engine reports the same
-    # window, and traced phase self-times can never exceed it.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

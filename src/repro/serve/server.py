@@ -793,7 +793,15 @@ class ReachServer:
                 result = await asyncio.wrap_future(future)
             finally:
                 self.admission.release()
-            status, fields = self._classify(key, result)
+            status, fields, entry_status = self._classify(key, result)
+            if entry_status is not None:
+                # The entry's JSON write and fsyncs run off the event
+                # loop, so hits on other keys are answered meanwhile; the
+                # session stays open until the entry exists, so a repeat
+                # of this request still dedups onto it.
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self.cache.store, key, result, entry_status
+                )
             if result.extra.get("resumed_from") is not None:
                 self.counters.bump("resumes")
             disposition = (
@@ -813,27 +821,26 @@ class ReachServer:
     # ------------------------------------------------------------------
 
     def _classify(self, key, result: ReachResult):
-        """Map an attempt outcome to a response status + cache action."""
+        """Map an attempt outcome to a response status, its fields and
+        the cache entry status to store (None: store nothing)."""
         fields: Dict[str, object] = {
             "key": key,
             "result": result.to_dict(),
         }
         if result.completed:
-            self.cache.store(key, result, COMPLETE)
             self.counters.bump("ok")
-            return "ok", fields
+            return "ok", fields, COMPLETE
         if self.cache.has_checkpoints(key):
             # Budget ran out (or the attempt was killed) but a snapshot
             # survived: persist the partial result; re-asking resumes.
-            self.cache.store(key, result, RESUMABLE)
             self.counters.bump("resumable_stored")
             if result.failure == "cancelled":
                 self.counters.bump("cancelled")
-                return "cancelled", fields
+                return "cancelled", fields, RESUMABLE
             fields["retry_after"] = self.admission.policy.min_retry_after_seconds
-            return "resumable", fields
+            return "resumable", fields, RESUMABLE
         if result.failure == "cancelled":
             self.counters.bump("cancelled")
-            return "cancelled", fields
+            return "cancelled", fields, None
         self.counters.bump("failed")
-        return "failed", fields
+        return "failed", fields, None

@@ -4,6 +4,7 @@
 rule's scoping is testable without touching the working tree.
 """
 
+import os
 import textwrap
 
 import pytest
@@ -213,6 +214,39 @@ class TestR004:
 
 
 # ----------------------------------------------------------------------
+# R005 — one fix-point loop owner
+# ----------------------------------------------------------------------
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+class TestR005:
+    SOURCE = open(os.path.join(FIXTURES, "hand_rolled_loop.py")).read()
+
+    def seeded_lines(self):
+        return [
+            lineno
+            for lineno, line in enumerate(self.SOURCE.splitlines(), 1)
+            if line.rstrip().endswith("# defect: R005")
+        ]
+
+    @pytest.mark.parametrize(
+        "path",
+        ["src/repro/reach/tr_engine.py", "src/repro/backends/engine.py"],
+    )
+    def test_flags_every_seeded_defect(self, path):
+        findings = lint_source(self.SOURCE, path)
+        assert [f.rule for f in findings] == ["R005"] * len(findings)
+        assert [f.line for f in findings] == self.seeded_lines()
+
+    def test_driver_may_own_the_loop(self):
+        assert lint_source(self.SOURCE, "src/repro/reach/driver.py") == []
+
+    def test_quiet_outside_reach_and_backends(self):
+        assert lint_source(self.SOURCE, "src/repro/mc/checker.py") == []
+
+
+# ----------------------------------------------------------------------
 # Suppression, rendering, driver
 # ----------------------------------------------------------------------
 
@@ -246,7 +280,7 @@ class TestDriver:
         assert finding.render() == "a.py:7: R002 msg"
 
     def test_rule_catalog_is_complete(self):
-        assert sorted(RULES) == ["R001", "R002", "R003", "R004"]
+        assert sorted(RULES) == ["R001", "R002", "R003", "R004", "R005"]
 
     def test_repo_is_lint_clean(self):
         assert run_lint(()) == []

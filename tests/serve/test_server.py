@@ -7,6 +7,8 @@ in-flight dedup, cooperative cancel, load shed, crash-retry, and
 timeout → resumable → resume.
 """
 
+import socket
+import threading
 import time
 
 import pytest
@@ -118,6 +120,54 @@ class TestDedup:
         assert status["sessions"]["dedup_hits"] == 1
         # One attempt ran; the dedup waiter never touched the pool.
         assert status["pool"]["submitted"] == 1
+
+
+class TestStoreOffTheLoop:
+    def test_hit_is_answered_while_a_miss_is_being_stored(
+        self, serve_factory
+    ):
+        handle = serve_factory(pool_size=1)
+        cache = handle.server.cache
+        with handle.client() as client:
+            assert client.reach("traffic", max_seconds=60)["status"] == "ok"
+
+        entered = threading.Event()
+        release = threading.Event()
+        original = cache.store
+
+        def blocked_store(key, result, status):
+            entered.set()
+            release.wait(timeout=60)
+            return original(key, result, status)
+
+        cache.store = blocked_store
+        try:
+            with handle.client() as miss_client, handle.client(
+                timeout=10
+            ) as hit_client:
+                miss = miss_client.send(
+                    {"op": "reach", "circuit": "s27", "max_seconds": 60}
+                )
+                assert entered.wait(timeout=60), "store never started"
+                # A repeat of the miss arriving mid-store still dedups.
+                repeat = miss_client.send(
+                    {"op": "reach", "circuit": "s27", "max_seconds": 60}
+                )
+                try:
+                    hit = hit_client.reach("traffic", max_seconds=60)
+                except socket.timeout:
+                    pytest.fail("cache hit stalled behind a blocked store")
+                assert not release.is_set()
+                assert hit["status"] == "ok" and hit.get("cached") is True
+                release.set()
+                assert miss_client.wait(miss)["status"] == "ok"
+                assert miss_client.wait(repeat)["status"] == "ok"
+                status = hit_client.status()
+        finally:
+            release.set()
+            cache.store = original
+        assert status["sessions"]["dedup_hits"] == 1
+        assert status["pool"]["submitted"] == 2
 
 
 class TestCancel:
