@@ -105,7 +105,11 @@ echo "== sanitized reach smoke =="
 # Every engine (all eight: six BDD-substrate plus bitset/zono) under
 # every-iteration invariant auditing (unique-table canonicity, cache
 # replay vs the reference kernels, BFV canonical form); any violation
-# aborts the run with the invariant's name.
+# aborts the run with the invariant's name.  The s1269s bfv-sat run
+# puts the BFV canonicity audits on a run heavy in re-parameterization
+# (many unions with shared components under non-FALSE exclusion
+# conditions), which the s27 cell barely exercises.
 python -m repro reach s27 --engine all --sanitize --max-seconds 120
+python -m repro reach s1269s --engine bfv-sat --sanitize --max-seconds 120
 
 echo "CI OK"

@@ -50,35 +50,51 @@ def raw_union(
     choice_vars: Sequence[int],
     f_comps: Sequence[int],
     g_comps: Sequence[int],
-    start: int = 0,
 ) -> List[int]:
     """Union of two structurally valid vectors (exclusion conditions).
 
-    ``start`` skips a common prefix: components ``< start`` must be
-    identical in both operands (then their exclusion conditions provably
-    stay FALSE) and are copied through — the support-based optimization
-    the paper mentions for quantification scheduling.
+    The paper's recurrence, with ``fx``/``gx`` the exclusion conditions
+    of the two operands (both start FALSE):
+
+        h1 = f1 g1 + f1 gx + fx g1        (forced to one in the union)
+        h0 = f0 g0 + f0 gx + fx g0        (forced to zero)
+        h_i = h1 + NOT(h1 + h0) v_i
+        fx' = fx + f0 h_i + f1 NOT h_i    (and ``gx'`` likewise)
+
+    Two identities make it cheaper without changing any result node:
+
+    * **Identity skip.** If ``f_i == g_i`` then ``h1 = f1``, ``h0 = f0``,
+      ``h_i = f_i`` and ``fx``/``gx`` are unchanged, for *any*
+      exclusion conditions.  This needs only structural validity of the
+      component (``f|v=0 AND NOT f|v=1 = 0``), so shared components are
+      copied through without a kernel call.  Re-parameterization relies
+      on it: a parameter cofactor leaves every component outside its
+      support identical in both operands.
+    * **Fused step.** ``h_i = ite(v_i, NOT h0, h1)`` and
+      ``fx' = fx + ite(h_i, f0, f1)``.  The ``ite`` form of ``h_i``
+      needs ``h1 AND h0 = 0``, which follows from the invariant
+      ``fx AND gx = 0`` (an assignment never excludes both operands)
+      together with structural validity of both operands.
     """
-    h: List[int] = list(f_comps[:start])
-    fx = bdd.false
-    gx = bdd.false
-    and_, or_, not_ = bdd.and_, bdd.or_, bdd.not_
-    for i in range(start, len(choice_vars)):
-        v = choice_vars[i]
-        f1, f0 = _conditions(bdd, f_comps[i], v)
-        g1, g0 = _conditions(bdd, g_comps[i], v)
+    h: List[int] = []
+    fx = gx = bdd.false
+    and_, or_, not_, ite = bdd.and_, bdd.or_, bdd.not_, bdd.ite
+    for v, f, g in zip(choice_vars, f_comps, g_comps):
+        if f == g:
+            h.append(f)
+            continue
+        f1, f0 = _conditions(bdd, f, v)
+        g1, g0 = _conditions(bdd, g, v)
         # Forced in the union iff forced in both operands, or forced in
         # the only operand still included.
-        h1 = or_(and_(f1, g1), or_(and_(f1, gx), and_(fx, g1)))
-        h0 = or_(and_(f0, g0), or_(and_(f0, gx), and_(fx, g0)))
-        free = not_(or_(h1, h0))
-        h_i = or_(h1, and_(free, bdd.var(v)))
+        h1 = or_(and_(f1, or_(g1, gx)), and_(fx, g1))
+        h0 = or_(and_(f0, or_(g0, gx)), and_(fx, g0))
+        h_i = ite(bdd.var(v), not_(h0), h1)
         h.append(h_i)
         # An operand becomes excluded when the selected bit contradicts
         # the value it forces.
-        not_h = not_(h_i)
-        fx = or_(fx, or_(and_(f0, h_i), and_(f1, not_h)))
-        gx = or_(gx, or_(and_(g0, h_i), and_(g1, not_h)))
+        fx = or_(fx, ite(h_i, f0, f1))
+        gx = or_(gx, ite(h_i, g0, g1))
     return h
 
 
@@ -159,8 +175,9 @@ def raw_intersect(
                 "intersection reached an inconsistent selection; "
                 "operands were not canonical"
             )
-        free = not_(or_(h1, h0))
-        h_i = or_(h1, and_(free, bdd.var(choice_vars[i])))
+        # Disjoint forcing conditions: the fused form of
+        # ``h1 + NOT(h1 + h0) v_i`` (see :func:`raw_union`).
+        h_i = bdd.ite(bdd.var(choice_vars[i]), not_(h0), h1)
         h.append(h_i)
         subst[choice_vars[i]] = h_i
     return h

@@ -19,9 +19,10 @@ The paper notes (Sec 3) that a *dynamic quantification schedule* with a
 "simple support based cost heuristic" is used, computing supports "to
 avoid BDD operations on vector components that do not depend on the
 variable being quantified".  :func:`eliminate_params` implements exactly
-that: parameters are eliminated cheapest-first, components above the
-first affected one are copied through unchanged, and supports are
-refreshed after every elimination.
+that: parameters are eliminated cheapest-first, only the components
+whose support holds the parameter are cofactored (the union copies the
+others through), and only their supports are refreshed after an
+elimination.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _cost(
     else:  # "size"
         primary = sum(bdd.dag_size(comps[i]) for i in affected)
     first = affected[0] if affected else len(supports)
-    # Prefer later first-affected components: shorter union suffix.
+    # Ties go to the parameter whose first affected component is later.
     return (primary, -first)
 
 
@@ -97,12 +98,15 @@ def eliminate_params(
         affected = [i for i, s in enumerate(supports) if param in s]
         if not affected:
             continue
-        start = affected[0]
-        pairs = [bdd.cofactors(f, param) for f in comps]
-        lo = [p[0] for p in pairs]
-        hi = [p[1] for p in pairs]
-        comps = _ops.raw_union(bdd, choice_vars, lo, hi, start=start)
-        for i in range(start, len(comps)):
+        # Only components whose support holds ``param`` are cofactored;
+        # the others enter both operands unchanged, and the union copies
+        # them through, so only the affected components change.
+        lo = list(comps)
+        hi = list(comps)
+        for i in affected:
+            lo[i], hi[i] = bdd.cofactors(comps[i], param)
+        comps = _ops.raw_union(bdd, choice_vars, lo, hi)
+        for i in affected:
             supports[i] = set(bdd.support(comps[i]))
     return comps
 
@@ -119,12 +123,11 @@ def reparameterize(
     The main entry point for image computation: feed it the symbolic
     simulation outputs and the variables they were computed over.
     """
-    leftovers = [
-        v
-        for i, f in enumerate(raw_components)
-        for v in bdd.support(f)
-        if v not in set(params) and v not in set(choice_vars[: i + 1])
-    ]
+    allowed = set(params)
+    leftovers = []
+    for v_i, f in zip(choice_vars, raw_components):
+        allowed.add(v_i)
+        leftovers.extend(v for v in bdd.support(f) if v not in allowed)
     if leftovers:
         raise BFVError(
             "raw components depend on unexpected variables: %s"

@@ -1,8 +1,9 @@
 """Set-union tests (paper Sec 2.3): exhaustive, algebraic and randomized.
 
 The exhaustive width-2 block checks *all* 225 pairs of non-empty subsets
-for exact canonical results; the width-3 block samples, and hypothesis
-covers wider widths against Python-set semantics.
+for exact canonical results (width 3 is exhaustive in
+``test_exhaustive_width3``), and hypothesis covers wider widths against
+Python-set semantics.
 """
 
 import random
@@ -16,6 +17,7 @@ from repro.bfv.ops import raw_union
 from repro.errors import BFVError
 
 from ..conftest import all_subsets, chi_of
+from .reference_union import reference_union
 
 
 def make(bdd, variables, subset):
@@ -31,19 +33,6 @@ class TestExhaustiveWidth2:
             for b, fb in vectors.items():
                 result = union(fa, fb)
                 assert result == vectors[a | b], (sorted(a), sorted(b))
-
-
-class TestSampledWidth3:
-    def test_sampled_pairs(self):
-        bdd = BDD(["v0", "v1", "v2"])
-        variables = (0, 1, 2)
-        rng = random.Random(0)
-        subsets = list(all_subsets(3))
-        vectors = {s: make(bdd, variables, s) for s in subsets}
-        for _ in range(400):
-            a = rng.choice(subsets)
-            b = rng.choice(subsets)
-            assert union(vectors[a], vectors[b]) == vectors[a | b]
 
 
 class TestAlgebraicProperties:
@@ -105,35 +94,33 @@ class TestAlgebraicProperties:
             union(vectors[0], foreign)
 
 
-class TestRawUnionPrefixSkip:
-    def test_prefix_skip_matches_full_run(self):
+class TestRawUnionSharedComponents:
+    def test_shared_components_copied_through(self):
         bdd = BDD(["v0", "v1", "v2", "v3"])
         variables = (0, 1, 2, 3)
         rng = random.Random(9)
-        subsets = list(all_subsets(3))
+        subsets = list(all_subsets(2))
         for _ in range(30):
-            # Build two vectors sharing their first component by
-            # extending width-3 sets with a shared leading free bit.
+            # Two vectors sharing a leading and a trailing free bit
+            # around differing width-2 sets over v1, v2: the trailing
+            # component is shared while the operands may be excluded.
             a = rng.choice(subsets)
             b = rng.choice(subsets)
-            fa = [bdd.var(0)] + list(
-                make_shifted(bdd, a)
-            )
-            fb = [bdd.var(0)] + list(
-                make_shifted(bdd, b)
-            )
-            full = raw_union(bdd, variables, fa, fb, start=0)
-            skipped = raw_union(bdd, variables, fa, fb, start=1)
+            fa = [bdd.var(0)] + make_shifted(bdd, a) + [bdd.var(3)]
+            fb = [bdd.var(0)] + make_shifted(bdd, b) + [bdd.var(3)]
+            full = reference_union(bdd, variables, fa, fb)
+            skipped = raw_union(bdd, variables, fa, fb)
             assert full == skipped
+            assert skipped[0] == fa[0] and skipped[3] == fa[3]
 
 
 def make_shifted(bdd, subset):
-    """Canonical components of a width-3 set over v1..v3."""
-    variables = (1, 2, 3)
+    """Canonical components of a width-2 set over v1, v2."""
+    variables = (1, 2)
     vec = from_characteristic(
         bdd, variables, chi_of(bdd, variables, subset)
     )
-    return vec.components
+    return list(vec.components)
 
 
 class TestHypothesisWidth5:
